@@ -40,28 +40,35 @@ func benchMonitor(b *testing.B, n int) *SpeedMonitor {
 	return m
 }
 
-// BenchmarkRelativeSpeeds measures the per-dispatch speed-map cost:
-// OnSlotFree consults it before sizing every elastic task.
+// fleetNodes is the benchmark workload fleet's cluster size.
+const fleetNodes = 5000
+
+// BenchmarkRelativeSpeeds measures the relative-speed recompute that
+// OnSlotFree and fairShare pay whenever a heartbeat report has moved the
+// monitor epoch: each iteration pushes one sample first, so every call
+// recomputes instead of hitting the epoch cache.
 func BenchmarkRelativeSpeeds(b *testing.B) {
-	m := benchMonitor(b, 200)
+	m := benchMonitor(b, fleetNodes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rel := m.RelativeSpeeds(); len(rel) != 200 {
-			b.Fatal("short map")
+		m.push(cluster.NodeID(i%fleetNodes), float64(1+i%4)*10e6)
+		if rel := m.RelativeSpeeds(); len(rel) != fleetNodes {
+			b.Fatal("short slice")
 		}
 	}
 }
 
 // BenchmarkNormalizedCapacities measures the reduce-placement capacity
-// map consulted once per reduce wave.
+// recompute after a new heartbeat report, like BenchmarkRelativeSpeeds.
 func BenchmarkNormalizedCapacities(b *testing.B) {
-	m := benchMonitor(b, 200)
+	m := benchMonitor(b, fleetNodes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if caps := m.NormalizedCapacities(); len(caps) != 200 {
-			b.Fatal("short map")
+		m.push(cluster.NodeID(i%fleetNodes), float64(1+i%4)*10e6)
+		if caps := m.NormalizedCapacities(); len(caps) != fleetNodes {
+			b.Fatal("short slice")
 		}
 	}
 }

@@ -126,9 +126,14 @@ func (am *AM) Sizer() *Sizer { return am.sizer }
 
 // RelativeSpeed returns the node's observed speed normalized to the
 // slowest measured node (1.0 when unmeasured) — the signal the elastic
-// autoscaler uses to release the slowest joined spare first.
+// autoscaler uses to release the slowest joined spare first. An ID
+// outside the cluster reports 0.
 func (am *AM) RelativeSpeed(id cluster.NodeID) float64 {
-	return am.monitor.RelativeSpeeds()[id]
+	rels := am.monitor.RelativeSpeeds()
+	if int(id) < 0 || int(id) >= len(rels) {
+		return 0
+	}
+	return rels[id]
 }
 
 // OnSlotFree implements yarn.Scheduler: late task binding, then — once
@@ -180,9 +185,9 @@ func (am *AM) OnSlotFree(node *cluster.Node) bool {
 // remaining BUs when the job is inside its final wave — i.e. when the
 // remainder no longer fills every slot at current task sizes. Outside
 // the final wave it returns a large value (no clamp). rels is the
-// caller's current RelativeSpeeds map, passed in so the per-dispatch path
-// computes it exactly once.
-func (am *AM) fairShare(node *cluster.Node, rel float64, rels map[cluster.NodeID]float64) int {
+// caller's current RelativeSpeeds slice, passed in so the per-dispatch
+// path computes it exactly once.
+func (am *AM) fairShare(node *cluster.Node, rel float64, rels []float64) int {
 	if !am.fsValid || am.fsMonAt != am.monitor.Epoch() || am.fsSizerAt != am.sizer.Epoch() ||
 		am.fsClusterAt != am.d.Cluster.SpeedEpoch() {
 		var totalRel float64
@@ -337,7 +342,7 @@ func (am *AM) placeReducers(d *engine.Driver) []cluster.NodeID {
 	return out
 }
 
-func (am *AM) pickBiased(partition int, nodes []*cluster.Node, caps map[cluster.NodeID]float64, assigned map[cluster.NodeID]int) cluster.NodeID {
+func (am *AM) pickBiased(partition int, nodes []*cluster.Node, caps []float64, assigned map[cluster.NodeID]int) cluster.NodeID {
 	// Rejection sampling terminates: at least one node has c=1 (the
 	// fastest), accepted with probability 1. A capacity guard skips
 	// nodes whose reducer count already fills their current-wave slots;

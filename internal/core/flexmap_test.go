@@ -302,7 +302,7 @@ func TestPropertyBiasedPickerDistribution(t *testing.T) {
 			{BaseSpeed: 1, Slots: 100000}, {BaseSpeed: 1, Slots: 100000},
 		})
 		am := &AM{rng: randutil.New(seed), d: nil}
-		caps := map[cluster.NodeID]float64{0: 1.0, 1: 0.5}
+		caps := []float64{1.0, 0.5}
 		assigned := map[cluster.NodeID]int{}
 		const draws = 2000
 		counts := map[cluster.NodeID]int{}
@@ -323,7 +323,7 @@ func TestBiasedPickerRespectsCapacityGuard(t *testing.T) {
 		{BaseSpeed: 1, Slots: 2}, {BaseSpeed: 1, Slots: 2},
 	})
 	am := &AM{rng: randutil.New(1)}
-	caps := map[cluster.NodeID]float64{0: 1.0, 1: 1.0}
+	caps := []float64{1.0, 1.0}
 	assigned := map[cluster.NodeID]int{}
 	counts := map[cluster.NodeID]int{}
 	for i := 0; i < 4; i++ {
@@ -354,7 +354,7 @@ func TestBiasedPickerBalancedAcrossWaves(t *testing.T) {
 	})
 	// Unequal capacities: the raw-sampling bug would send ~80% of waves
 	// 2-3 to node 0.
-	caps := map[cluster.NodeID]float64{0: 1.0, 1: 0.5}
+	caps := []float64{1.0, 0.5}
 	for seed := int64(1); seed <= 5; seed++ {
 		am := &AM{rng: randutil.New(seed)}
 		assigned := map[cluster.NodeID]int{}
@@ -381,7 +381,7 @@ func TestBiasedPickerBailoutPicksLeastLoaded(t *testing.T) {
 		{BaseSpeed: 1, Slots: 2}, {BaseSpeed: 1, Slots: 2},
 	})
 	am := &AM{rng: randutil.New(7)}
-	caps := map[cluster.NodeID]float64{0: 0, 1: 0}
+	caps := []float64{0, 0}
 	assigned := map[cluster.NodeID]int{0: 1}
 	if got := am.pickBiased(0, c.Nodes, caps, assigned); got != 1 {
 		t.Fatalf("bail-out picked node %d, want least-loaded node 1 (assigned %v)", got, assigned)

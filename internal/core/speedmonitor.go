@@ -29,6 +29,7 @@ const ipsWindow = 5
 type SpeedMonitor struct {
 	driver  *engine.Driver
 	samples []ipsRing // recent round samples, indexed by dense NodeID
+	means   []float64 // samples[id].mean(), refreshed on every window change
 	ticker  *sim.Ticker
 
 	// epoch increments whenever any node's window changes (push or
@@ -37,17 +38,12 @@ type SpeedMonitor struct {
 	// between heartbeats hit the cache and the hot path costs one
 	// comparison instead of an O(n) recompute.
 	epoch    uint64
-	relAt    uint64 // epoch the relBuf cache was computed at
-	capAt    uint64 // epoch the capBuf cache was computed at
+	relAt    uint64 // epoch rel was computed at
+	capAt    uint64 // epoch caps was computed at
 	relValid bool
 	capValid bool
-
-	// Reused result buffers for RelativeSpeeds/NormalizedCapacities and a
-	// scratch slice of raw speeds. Every cluster node's key is overwritten
-	// on every recompute, so stale entries can never leak between calls.
-	relBuf  map[cluster.NodeID]float64
-	capBuf  map[cluster.NodeID]float64
-	scratch []float64
+	rel      []float64
+	caps     []float64
 
 	// Heartbeat-sweep scratch: roundBuf holds each node's round sample
 	// (negative = no report) written by the per-shard phase; sweepBufs
@@ -98,6 +94,7 @@ func NewSpeedMonitor(d *engine.Driver) *SpeedMonitor {
 	m := &SpeedMonitor{
 		driver:  d,
 		samples: make([]ipsRing, d.Cluster.Size()),
+		means:   make([]float64, d.Cluster.Size()),
 	}
 	m.ticker = sim.NewTicker(d.Eng, HeartbeatPeriod, "heartbeat", m.round)
 	d.OnFinished(m.Stop)
@@ -195,13 +192,23 @@ func remoteHeavy(a *engine.MapAttempt) bool {
 }
 
 func (m *SpeedMonitor) push(id cluster.NodeID, ips float64) {
-	if int(id) >= len(m.samples) {
-		grown := make([]ipsRing, int(id)+1)
-		copy(grown, m.samples)
-		m.samples = grown
-	}
+	m.grow(int(id) + 1)
 	m.samples[id].push(ips)
+	m.means[id] = m.samples[id].mean()
 	m.epoch++
+}
+
+// grow ensures the per-node windows cover n nodes.
+func (m *SpeedMonitor) grow(n int) {
+	if n <= len(m.samples) {
+		return
+	}
+	samples := make([]ipsRing, n)
+	copy(samples, m.samples)
+	m.samples = samples
+	means := make([]float64, n)
+	copy(means, m.means)
+	m.means = means
 }
 
 // ResetNode clears a node's IPS window. Called when a node rejoins after
@@ -213,16 +220,17 @@ func (m *SpeedMonitor) ResetNode(id cluster.NodeID) {
 		return
 	}
 	m.samples[id] = ipsRing{}
+	m.means[id] = 0
 	m.epoch++
 }
 
 // GetSpeed returns the node's estimated IPS in bytes/second, or 0 when no
 // report has arrived yet.
 func (m *SpeedMonitor) GetSpeed(id cluster.NodeID) float64 {
-	if int(id) < 0 || int(id) >= len(m.samples) {
+	if int(id) < 0 || int(id) >= len(m.means) {
 		return 0
 	}
-	return m.samples[id].mean()
+	return m.means[id]
 }
 
 // Epoch returns the monitor's sample epoch: it increments on every window
@@ -230,81 +238,73 @@ func (m *SpeedMonitor) GetSpeed(id cluster.NodeID) float64 {
 // new IPS report has arrived.
 func (m *SpeedMonitor) Epoch() uint64 { return m.epoch }
 
-// speeds fills the scratch slice with each node's current IPS, positions
-// matching Cluster.Nodes.
-func (m *SpeedMonitor) speeds() []float64 {
-	nodes := m.driver.Cluster.Nodes
-	if cap(m.scratch) < len(nodes) {
-		m.scratch = make([]float64, len(nodes))
-	}
-	sp := m.scratch[:len(nodes)]
-	for i, n := range nodes {
-		sp[i] = m.GetSpeed(n.ID)
-	}
-	return sp
+// clusterMeans returns the window means of every cluster node, indexed by
+// dense NodeID.
+func (m *SpeedMonitor) clusterMeans() []float64 {
+	n := m.driver.Cluster.Size()
+	m.grow(n)
+	return m.means[:n]
 }
 
 // RelativeSpeeds returns each node's speed normalized to the slowest node
-// with a measurement (≥1 for all measured nodes). Nodes without
-// measurements report 1.0 — indistinguishable from the slowest, which is
-// exactly the paper's conservative starting assumption.
+// with a measurement (≥1 for all measured nodes), indexed by dense
+// NodeID. Nodes without measurements report 1.0 — indistinguishable from
+// the slowest, which is exactly the paper's conservative starting
+// assumption.
 //
-// The returned map is owned by the monitor and reused: it is valid until
-// the next RelativeSpeeds call. Callers must not retain it.
-func (m *SpeedMonitor) RelativeSpeeds() map[cluster.NodeID]float64 {
+// The returned slice is owned by the monitor and reused: it is valid
+// until the next RelativeSpeeds call. Callers must not retain it.
+func (m *SpeedMonitor) RelativeSpeeds() []float64 {
 	if m.relValid && m.relAt == m.epoch {
-		return m.relBuf
+		return m.rel
 	}
 	m.relValid, m.relAt = true, m.epoch
-	nodes := m.driver.Cluster.Nodes
-	sp := m.speeds()
+	sp := m.clusterMeans()
 	slowest := 0.0
 	for _, s := range sp {
 		if s > 0 && (slowest == 0 || s < slowest) {
 			slowest = s
 		}
 	}
-	if m.relBuf == nil {
-		m.relBuf = make(map[cluster.NodeID]float64, len(nodes))
-	}
-	for i, n := range nodes {
-		if sp[i] <= 0 || slowest <= 0 {
-			m.relBuf[n.ID] = 1.0
-			continue
-		}
-		m.relBuf[n.ID] = sp[i] / slowest
-	}
-	return m.relBuf
+	m.rel = normalize(m.rel, sp, slowest)
+	return m.rel
 }
 
 // NormalizedCapacities returns each node's capacity c_i normalized to the
-// fastest measured node (c ∈ (0,1]), the quantity the biased reduce
-// dispatcher squares. Unmeasured nodes get 1.0.
+// fastest measured node (c ∈ (0,1]), indexed by dense NodeID — the
+// quantity the biased reduce dispatcher squares. Unmeasured nodes get 1.0.
 //
-// Like RelativeSpeeds, the returned map is a reused buffer valid until
+// Like RelativeSpeeds, the returned slice is a reused buffer valid until
 // the next NormalizedCapacities call.
-func (m *SpeedMonitor) NormalizedCapacities() map[cluster.NodeID]float64 {
+func (m *SpeedMonitor) NormalizedCapacities() []float64 {
 	if m.capValid && m.capAt == m.epoch {
-		return m.capBuf
+		return m.caps
 	}
 	m.capValid, m.capAt = true, m.epoch
-	nodes := m.driver.Cluster.Nodes
-	sp := m.speeds()
+	sp := m.clusterMeans()
 	fastest := 0.0
 	for _, s := range sp {
 		if s > fastest {
 			fastest = s
 		}
 	}
-	if m.capBuf == nil {
-		m.capBuf = make(map[cluster.NodeID]float64, len(nodes))
+	m.caps = normalize(m.caps, sp, fastest)
+	return m.caps
+}
+
+// normalize writes sp[i]/ref into dst (resized to len(sp)), or 1.0 where
+// the node is unmeasured or no reference exists.
+func normalize(dst, sp []float64, ref float64) []float64 {
+	if cap(dst) < len(sp) {
+		dst = make([]float64, len(sp))
 	}
-	for i, n := range nodes {
-		if sp[i] <= 0 || fastest <= 0 {
-			m.capBuf[n.ID] = 1.0
+	dst = dst[:len(sp)]
+	for i, s := range sp {
+		if s <= 0 || ref <= 0 {
+			dst[i] = 1.0
 			continue
 		}
-		m.capBuf[n.ID] = sp[i] / fastest
+		dst[i] = s / ref
 	}
-	return m.capBuf
+	return dst
 }

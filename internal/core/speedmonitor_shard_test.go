@@ -19,7 +19,7 @@ import (
 type speedSnapshot struct {
 	at     sim.Time
 	speeds []float64
-	rel    map[cluster.NodeID]float64
+	rel    []float64
 }
 
 // runMonitorScript runs a fixed mixed workload — staggered local
@@ -80,10 +80,7 @@ func runMonitorScript(t *testing.T, shards int) []speedSnapshot {
 			for i := range speeds {
 				speeds[i] = m.GetSpeed(cluster.NodeID(i))
 			}
-			rel := make(map[cluster.NodeID]float64, c.Size())
-			for id, v := range m.RelativeSpeeds() {
-				rel[id] = v
-			}
+			rel := append([]float64(nil), m.RelativeSpeeds()...)
 			snaps = append(snaps, speedSnapshot{at: at, speeds: speeds, rel: rel})
 		})
 	}

@@ -189,8 +189,13 @@ type MapAttempt struct {
 	Speculative bool
 	Start       sim.Time
 
-	d           *Driver
-	noiseMult   float64
+	d *Driver
+	// unit is the work units charged per input byte: job map cost ×
+	// sort-spill penalty × runtime noise × the split's data skew weight
+	// (the mean cost weight of its BUs). Every factor is fixed once
+	// LaunchMap has summed Bytes, so it is computed there once rather
+	// than on every Progress/EstRemaining probe.
+	unit        float64
 	phase       attemptPhase
 	phaseEndsAt sim.Time
 	phaseEv     sim.Handle
@@ -240,6 +245,7 @@ func (d *Driver) LaunchMap(l MapLaunch) *MapAttempt {
 	if l.Node.Down() {
 		panic("engine: LaunchMap on a down node — the RM must not offer crashed capacity")
 	}
+	noise := d.drawNoise()
 	a := &MapAttempt{
 		Task:        l.Task,
 		Node:        l.Node,
@@ -250,7 +256,6 @@ func (d *Driver) LaunchMap(l MapLaunch) *MapAttempt {
 		Speculative: l.Speculative,
 		Start:       d.Eng.Now(),
 		d:           d,
-		noiseMult:   d.drawNoise(),
 		onDone:      l.OnDone,
 	}
 	remote := l.ExtraFetchBytes
@@ -263,6 +268,7 @@ func (d *Driver) LaunchMap(l MapLaunch) *MapAttempt {
 	}
 	a.RemoteBytes = remote
 	a.extraFetch = l.ExtraFetchBytes
+	a.unit = d.Spec.MapCost * d.Cost.SpillMultiplier(a.Bytes) * noise * d.Store.MeanWeight(l.BUs)
 	if l.Speculative {
 		d.Result.SpeculativeLaunches++
 	}
@@ -395,16 +401,8 @@ func (a *MapAttempt) FetchedRemoteBytes() int64 { return a.fetched }
 func (a *MapAttempt) beginCompute() {
 	a.phase = phaseCompute
 	a.computeAt = a.d.Eng.Now()
-	units := float64(a.Bytes) * a.unitCost()
+	units := float64(a.Bytes) * a.unit
 	a.work = a.d.Exec.Start(a.Node, units, func() { a.complete() })
-}
-
-// unitCost is the work units charged per input byte for this attempt:
-// job map cost × sort-spill penalty × runtime noise × the split's data
-// skew weight (the mean cost weight of its BUs).
-func (a *MapAttempt) unitCost() float64 {
-	return a.d.Spec.MapCost * a.d.Cost.SpillMultiplier(a.Bytes) * a.noiseMult *
-		a.d.Store.MeanWeight(a.BUs)
 }
 
 // drawNoise samples the per-attempt lognormal cost multiplier (1.0 when
@@ -613,7 +611,7 @@ func (a *MapAttempt) ProcessedBytes(now sim.Time) int64 {
 	case phaseDone:
 		return a.Bytes
 	case phaseCompute:
-		return int64(a.work.ProcessedUnits(now) / a.unitCost())
+		return int64(a.work.ProcessedUnits(now) / a.unit)
 	default:
 		return 0
 	}
@@ -628,7 +626,7 @@ func (a *MapAttempt) Progress(now sim.Time) float64 {
 // current speed — the estimate LATE and SkewTune schedule from.
 func (a *MapAttempt) EstRemaining(now sim.Time) sim.Duration {
 	rate := a.d.Cost.BaseIPS * a.Node.Speed()
-	computeAll := sim.Duration(float64(a.Bytes) * a.unitCost() / rate)
+	computeAll := sim.Duration(float64(a.Bytes) * a.unit / rate)
 	switch a.phase {
 	case phaseOverhead:
 		return sim.Duration(a.phaseEndsAt-now) + a.fetchDur + computeAll

@@ -16,8 +16,6 @@
 package speculate
 
 import (
-	"sort"
-
 	"flexmap/internal/cluster"
 	"flexmap/internal/engine"
 	"flexmap/internal/sim"
@@ -39,9 +37,10 @@ type LATE struct {
 	// considered meaningful (default 3 s, covering startup overhead).
 	MinAge sim.Duration
 
-	// Sorted cluster speeds, memoized on the cluster's speed epoch: node
-	// speeds only move on interference or fault transitions, while
-	// nodeIsSlow runs on every speculation probe.
+	// Slow-node percentile and uniformity of the member speeds, memoized
+	// on the cluster's speed epoch: node speeds only move on interference,
+	// fault or membership transitions, while nodeIsSlow runs on every
+	// speculation probe. speedsBuf is the selection scratch.
 	speedsBuf   []float64
 	speedsAt    uint64
 	speedsValid bool
@@ -158,14 +157,9 @@ func (l *LATE) selectVictim(now sim.Time, candidates []*engine.MapAttempt) (*eng
 		return nil, -1
 	}
 	// Threshold rate at the slow-task percentile: the idx-th smallest
-	// rate. Only the rate value matters, so a typed float sort replaces
-	// the old full (rate, Task) ordering of the attempts themselves.
-	sort.Float64s(l.rates)
-	idx := int(l.SlowTaskPercentile * float64(len(l.rates)))
-	if idx >= len(l.rates) {
-		idx = len(l.rates) - 1
-	}
-	threshold := l.rates[idx]
+	// rate. Only that one value matters, so it is selected in O(R) over
+	// the rate scratch; no ordering of the attempts is needed.
+	threshold := percentile(l.rates, l.SlowTaskPercentile)
 
 	// Among below-threshold tasks, pick the longest estimated time to
 	// end, ties to the lexicographically smallest task — a unique winner,
@@ -198,17 +192,70 @@ func (l *LATE) nodeIsSlow(c *cluster.Cluster, node *cluster.Node) bool {
 			}
 			l.speedsBuf = append(l.speedsBuf, n.Speed())
 		}
-		sort.Float64s(l.speedsBuf)
 		speeds := l.speedsBuf
-		idx := int(l.SlowNodePercentile * float64(len(speeds)))
-		if idx >= len(speeds) {
-			idx = len(speeds) - 1
+		lo, hi := speeds[0], speeds[0]
+		for _, v := range speeds {
+			lo, hi = min(lo, v), max(hi, v)
 		}
-		l.threshold = speeds[idx]
-		l.uniform = speeds[0] == speeds[len(speeds)-1]
+		l.uniform = lo == hi
+		l.threshold = percentile(speeds, l.SlowNodePercentile)
 		l.speedsValid, l.speedsAt = true, epoch
 	}
 	// Strict comparison: nodes AT the percentile speed (e.g. the healthy
 	// majority of a mostly-uniform cluster) are not slow.
 	return !l.uniform && node.Speed() < l.threshold
+}
+
+// percentile returns the idx-th smallest value of xs, idx = ⌊p·len⌋
+// clamped to the last index — the value sort.Float64s would leave at
+// idx. xs must be non-empty and is reordered in place.
+func percentile(xs []float64, p float64) float64 {
+	idx := int(p * float64(len(xs)))
+	if idx >= len(xs) {
+		idx = len(xs) - 1
+	}
+	return selectKth(xs, idx)
+}
+
+// selectKth returns the k-th smallest value of xs (0-based), the value
+// sort.Float64s would place at index k, in expected O(len) time. It
+// partially reorders xs. Quickselect with a median-of-three pivot and a
+// three-way partition, so duplicate-heavy inputs (many attempts sharing
+// one rate) shrink as fast as distinct ones. The values must not be NaN.
+func selectKth(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
+		if a > b {
+			a, b = b, a
+		}
+		if b > c {
+			b = c
+		}
+		p := max(a, b)
+		// Partition into [lo,lt) < p, [lt,gt] == p, (gt,hi] > p.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch v := xs[i]; {
+			case v < p:
+				xs[lt], xs[i] = v, xs[lt]
+				lt++
+				i++
+			case v > p:
+				xs[i], xs[gt] = xs[gt], v
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return p
+		}
+	}
+	return xs[k]
 }
