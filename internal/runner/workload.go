@@ -271,6 +271,13 @@ func RunWorkload(sc WorkloadScenario) (*WorkloadResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	if sc.Policy == "capacity" {
+		for i, c := range sc.Classes {
+			if c.Queue < 0 || c.Queue >= len(sc.Queues) {
+				return nil, fmt.Errorf("runner: workload class %d (%s) names queue %d; the capacity policy has %d", i, c.Name, c.Queue, len(sc.Queues))
+			}
+		}
+	}
 	arrivals, err := workload.Generate(sc.Seed, sc.Pattern, genClasses)
 	if err != nil {
 		return nil, err

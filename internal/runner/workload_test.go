@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"flexmap/internal/cluster"
 	"flexmap/internal/dfs"
 	"flexmap/internal/faults"
 	"flexmap/internal/metrics"
@@ -351,6 +352,51 @@ func TestWorkloadLatencyExcludesFailedJobs(t *testing.T) {
 	}
 }
 
+// TestWorkloadNestedOfferKeepsSlotAccounting is the regression test for
+// re-entrant offers: SkewTune's repartition adds pending work from inside
+// a consult, and the RM poke that follows offers every node again before
+// the outer consult returns. A nested grant could take the offered
+// node's last slot, after which the outer offer used to consult the next
+// job anyway and its Acquire panicked ("Acquire on node 1 with no free
+// slots" on this cell).
+func TestWorkloadNestedOfferKeepsSlotAccounting(t *testing.T) {
+	speeds := []float64{1, 1.5, 2.4, 2.8}
+	sc := WorkloadScenario{
+		Name: "wl-nested-offer",
+		Cluster: func() (*cluster.Cluster, cluster.Interferer) {
+			specs := make([]cluster.NodeSpec, len(speeds))
+			for i, s := range speeds {
+				specs[i] = cluster.NodeSpec{BaseSpeed: s, Slots: 2}
+			}
+			return cluster.NewCluster("het4", specs), nil
+		},
+		Seed:      1,
+		Pattern:   workload.Pattern{Jobs: 6, Rate: 2},
+		SkewSigma: 1,
+		Classes: []WorkloadClass{
+			{Name: "skewtune", Weight: 1, MinBytes: 8 * dfs.BUSize, MaxBytes: 48 * dfs.BUSize,
+				Engine: Engine{Kind: SkewTune, SplitMB: 64}, Spec: wlSpec(2)},
+			{Name: "stock", Weight: 1, MinBytes: 8 * dfs.BUSize, MaxBytes: 24 * dfs.BUSize,
+				Engine: Engine{Kind: Hadoop, SplitMB: 64}, Spec: wlSpec(2)},
+		},
+		Policy: "fifo",
+	}
+	res, err := RunWorkload(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 6 || res.Failed != 0 {
+		t.Fatalf("completed=%d failed=%d, want 6/0", res.Completed, res.Failed)
+	}
+	for _, j := range res.Jobs {
+		for bu, n := range j.BUCommits {
+			if n != 1 {
+				t.Fatalf("job %s: BU %d committed %d times", j.ID, bu, n)
+			}
+		}
+	}
+}
+
 // TestWorkloadValidation exercises configuration error paths.
 func TestWorkloadValidation(t *testing.T) {
 	bad := func(mut func(*WorkloadScenario)) error {
@@ -370,6 +416,15 @@ func TestWorkloadValidation(t *testing.T) {
 	}
 	if err := bad(func(sc *WorkloadScenario) { sc.Policy = "capacity" }); err == nil {
 		t.Error("capacity policy without queues accepted")
+	}
+	for _, q := range []int{-1, 1} {
+		if err := bad(func(sc *WorkloadScenario) {
+			sc.Policy = "capacity"
+			sc.Queues = []yarn.Queue{{Name: "only", Share: 1}}
+			sc.Classes[1].Queue = q
+		}); err == nil {
+			t.Errorf("class in capacity queue %d of 1 accepted", q)
+		}
 	}
 	if err := bad(func(sc *WorkloadScenario) { sc.Pattern.Rate = -1 }); err == nil {
 		t.Error("negative rate accepted")

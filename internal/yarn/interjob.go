@@ -2,7 +2,6 @@ package yarn
 
 import (
 	"fmt"
-	"sort"
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/sim"
@@ -25,6 +24,9 @@ type InterJob struct {
 	policy Policy
 
 	jobs    []*JobHandle
+	ranked  []*JobHandle       // undone jobs, in the order the policy last left them
+	snaps   [][]*JobHandle     // per-nesting-depth copy of the consult order
+	depth   int                // offers in flight (>1 when a consult re-offers)
 	owners  map[int]ownerEntry // container ID → owning job while live
 	current *JobHandle         // job being consulted for the in-flight offer
 }
@@ -93,6 +95,7 @@ func (ij *InterJob) Submit(name string, queue int, s Scheduler) *JobHandle {
 		submitted: ij.eng.Now(),
 	}
 	ij.jobs = append(ij.jobs, h)
+	ij.ranked = append(ij.ranked, h)
 	ij.rm.Poke()
 	return h
 }
@@ -100,39 +103,64 @@ func (ij *InterJob) Submit(name string, queue int, s Scheduler) *JobHandle {
 // Retire removes a finished job from scheduling: its scheduler is no
 // longer consulted for offers. Containers it still holds drain through
 // the normal release path (or die with their nodes), so a failed job
-// cannot wedge the queue. Retiring twice is a no-op.
-func (ij *InterJob) Retire(h *JobHandle) { h.done = true }
+// cannot wedge the queue. Retiring twice is a no-op. An offer already in
+// flight keeps consulting from its own snapshot, retired job included.
+func (ij *InterJob) Retire(h *JobHandle) {
+	if h.done {
+		return
+	}
+	h.done = true
+	for i, r := range ij.ranked {
+		if r == h {
+			ij.ranked = append(ij.ranked[:i], ij.ranked[i+1:]...)
+			break
+		}
+	}
+}
 
 // Jobs returns all submitted handles in submission order.
 func (ij *InterJob) Jobs() []*JobHandle { return ij.jobs }
 
 // OnSlotFree implements Scheduler: one offer, consulted across jobs in
 // policy order until someone takes the slot.
+//
+// A consult can re-enter: SkewTune's repartition adds work and pokes the
+// RM, whose nested offers run to completion before the outer consult
+// returns. Each nesting depth therefore iterates its own reused copy of
+// the ranking, and the outer offer ends as soon as a nested one took the
+// node's last free slot.
 func (ij *InterJob) OnSlotFree(n *cluster.Node) bool {
-	active := ij.active()
-	if len(active) == 0 {
+	if len(ij.ranked) == 0 {
 		return false
 	}
-	for _, h := range ij.policy.Order(active, ij.rm.TotalSlots()) {
+	k := ij.policy.Order(ij.ranked, ij.rm.TotalSlots())
+	if ij.depth == len(ij.snaps) {
+		ij.snaps = append(ij.snaps, nil)
+	}
+	order := append(ij.snaps[ij.depth][:0], ij.ranked[:k]...)
+	ij.snaps[ij.depth] = order
+	ij.depth++
+	placed := ij.consult(order, n)
+	ij.depth--
+	return placed
+}
+
+// consult offers the node to each job in order until one places work or
+// the node has no free slot left.
+func (ij *InterJob) consult(order []*JobHandle, n *cluster.Node) bool {
+	outer := ij.current
+	for _, h := range order {
 		ij.current = h
 		placed := h.sched.OnSlotFree(n)
-		ij.current = nil
+		ij.current = outer
 		if placed {
 			return true
 		}
-	}
-	return false
-}
-
-// active returns the undone jobs in submission order.
-func (ij *InterJob) active() []*JobHandle {
-	out := make([]*JobHandle, 0, len(ij.jobs))
-	for _, h := range ij.jobs {
-		if !h.done {
-			out = append(out, h)
+		if ij.rm.FreeSlots(n.ID) <= 0 {
+			return false
 		}
 	}
-	return out
+	return false
 }
 
 // onGrant attributes a fresh container to the job whose scheduler is
@@ -174,15 +202,19 @@ func (ij *InterJob) purgeNode(id cluster.NodeID) {
 }
 
 // Policy ranks active jobs for one slot offer. Implementations must be
-// pure functions of their inputs: same jobs, same counts, same order.
+// pure functions of the active set and its running counts: same jobs,
+// same counts, same order.
 type Policy interface {
 	// Name labels the policy in scenario configs and docs.
 	Name() string
-	// Order returns the jobs to consult, highest priority first. Jobs
-	// may be omitted to exclude them from this offer entirely (e.g. a
-	// capacity queue at its cap). The input slice is in submission
-	// order and must not be retained.
-	Order(active []*JobHandle, totalSlots int) []*JobHandle
+	// Order ranks the active jobs in place, highest priority first, and
+	// returns how many of them to consult; jobs past that prefix are
+	// excluded from this offer entirely (e.g. a capacity queue at its
+	// cap). ranked holds every active job in the order this policy left
+	// it at the previous offer, with jobs submitted since appended in
+	// submission order and retired jobs removed. It is owned by the
+	// caller and must not be retained.
+	Order(ranked []*JobHandle, totalSlots int) int
 }
 
 // FIFOPolicy offers every slot to the earliest-submitted job first; a
@@ -193,8 +225,9 @@ type FIFOPolicy struct{}
 // Name implements Policy.
 func (FIFOPolicy) Name() string { return "fifo" }
 
-// Order implements Policy: submission order, unchanged.
-func (FIFOPolicy) Order(active []*JobHandle, _ int) []*JobHandle { return active }
+// Order implements Policy: submission order, which ranked keeps as long
+// as nothing permutes it.
+func (FIFOPolicy) Order(ranked []*JobHandle, _ int) int { return len(ranked) }
 
 // FairPolicy offers each slot to the job holding the fewest containers,
 // ties broken by submission order — so backlogged jobs converge to equal
@@ -204,11 +237,27 @@ type FairPolicy struct{}
 // Name implements Policy.
 func (FairPolicy) Name() string { return "fair" }
 
-// Order implements Policy.
-func (FairPolicy) Order(active []*JobHandle, _ int) []*JobHandle {
-	out := append([]*JobHandle(nil), active...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].running < out[j].running })
-	return out
+// Order implements Policy. The ranking persists across offers and each
+// grant or release moves one count by ±1, so an insertion pass on the
+// total order (running, Index) restores it in O(J) plus the few moves.
+func (FairPolicy) Order(ranked []*JobHandle, _ int) int {
+	for i := 1; i < len(ranked); i++ {
+		h := ranked[i]
+		j := i
+		for ; j > 0 && fairBefore(h, ranked[j-1]); j-- {
+			ranked[j] = ranked[j-1]
+		}
+		if j != i {
+			ranked[j] = h
+		}
+	}
+	return len(ranked)
+}
+
+// fairBefore is FairPolicy's total order: fewer running containers
+// first, then earlier submission.
+func fairBefore(a, b *JobHandle) bool {
+	return a.running < b.running || (a.running == b.running && a.Index < b.Index)
 }
 
 // Queue is one capacity-scheduler queue: a guaranteed share of the
@@ -268,33 +317,50 @@ func (p *CapacityPolicy) Cap(queue, totalSlots int) int {
 }
 
 // Order implements Policy: underserved queues first, FIFO within each,
-// capped queues excluded.
-func (p *CapacityPolicy) Order(active []*JobHandle, totalSlots int) []*JobHandle {
-	usage := make([]int, len(p.Queues))
-	for _, h := range active {
-		if h.Queue < 0 || h.Queue >= len(p.Queues) {
+// capped queues excluded. Jobs are ranked on the total order (queue
+// rank, Index). A queue's rank is its position by usage/share, ties to
+// the lower queue index; capped queues rank last and are cut off.
+func (p *CapacityPolicy) Order(ranked []*JobHandle, totalSlots int) int {
+	nq := len(p.Queues)
+	buf := make([]int, 2*nq)
+	usage, rank := buf[:nq], buf[nq:]
+	for _, h := range ranked {
+		if h.Queue < 0 || h.Queue >= nq {
 			panic(fmt.Sprintf("yarn: job %q in unknown queue %d", h.Name, h.Queue))
 		}
 		usage[h.Queue] += h.running
 	}
-	order := make([]int, len(p.Queues))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		qa, qb := order[a], order[b]
-		return float64(usage[qa])/p.Queues[qa].Share < float64(usage[qb])/p.Queues[qb].Share
-	})
-	out := make([]*JobHandle, 0, len(active))
-	for _, q := range order {
+	for q := range rank {
 		if usage[q] >= p.Cap(q, totalSlots) {
+			rank[q] = nq
 			continue
 		}
-		for _, h := range active {
-			if h.Queue == q {
-				out = append(out, h)
+		rq := float64(usage[q]) / p.Queues[q].Share
+		for o := range usage {
+			if ro := float64(usage[o]) / p.Queues[o].Share; ro < rq || (ro == rq && o < q) {
+				rank[q]++
 			}
 		}
 	}
-	return out
+	k := 0
+	for i := 0; i < len(ranked); i++ {
+		h := ranked[i]
+		if rank[h.Queue] < nq {
+			k++
+		}
+		j := i
+		for ; j > 0 && capacityBefore(rank, h, ranked[j-1]); j-- {
+			ranked[j] = ranked[j-1]
+		}
+		if j != i {
+			ranked[j] = h
+		}
+	}
+	return k
+}
+
+// capacityBefore is CapacityPolicy's total order for one offer.
+func capacityBefore(rank []int, a, b *JobHandle) bool {
+	ra, rb := rank[a.Queue], rank[b.Queue]
+	return ra < rb || (ra == rb && a.Index < b.Index)
 }

@@ -1,6 +1,9 @@
 package yarn
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"flexmap/internal/cluster"
@@ -301,5 +304,250 @@ func TestQueueWait(t *testing.T) {
 	// slot plus the re-offer heartbeat.
 	if w := h1.QueueWait(); w < 40 {
 		t.Fatalf("waiter queue wait = %v, want ≥ 40 (blocked behind hog)", w)
+	}
+}
+
+// legacyOrder is the reference ranking the incremental one must match:
+// the undone jobs in submission order, then each policy's original
+// stable sort or queue walk.
+func legacyOrder(p Policy, jobs []*JobHandle, totalSlots int) []*JobHandle {
+	var active []*JobHandle
+	for _, h := range jobs {
+		if !h.done {
+			active = append(active, h)
+		}
+	}
+	switch p := p.(type) {
+	case FIFOPolicy:
+		return active
+	case FairPolicy:
+		sort.SliceStable(active, func(i, j int) bool { return active[i].running < active[j].running })
+		return active
+	case *CapacityPolicy:
+		usage := make([]int, len(p.Queues))
+		for _, h := range active {
+			usage[h.Queue] += h.running
+		}
+		order := make([]int, len(p.Queues))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			qa, qb := order[a], order[b]
+			return float64(usage[qa])/p.Queues[qa].Share < float64(usage[qb])/p.Queues[qb].Share
+		})
+		var out []*JobHandle
+		for _, q := range order {
+			if usage[q] >= p.Cap(q, totalSlots) {
+				continue
+			}
+			for _, h := range active {
+				if h.Queue == q {
+					out = append(out, h)
+				}
+			}
+		}
+		return out
+	}
+	panic("legacyOrder: unknown policy")
+}
+
+// orderCheck sits between the RM and the InterJob and checks every
+// offer, nested ones included, against legacyOrder computed when the
+// offer starts.
+type orderCheck struct {
+	t        *testing.T
+	ij       *InterJob
+	frames   [][]*JobHandle // consults logged per offer in flight
+	offers   int
+	nested   int
+	retired  int
+	regrants int
+}
+
+func (o *orderCheck) OnSlotFree(n *cluster.Node) bool {
+	want := legacyOrder(o.ij.policy, o.ij.jobs, o.ij.rm.TotalSlots())
+	if len(o.frames) > 0 {
+		o.nested++
+	}
+	o.offers++
+	o.frames = append(o.frames, nil)
+	placed := o.ij.OnSlotFree(n)
+	got := o.frames[len(o.frames)-1]
+	o.frames = o.frames[:len(o.frames)-1]
+	if len(got) > len(want) {
+		o.t.Fatalf("offer on node %d consulted %s, want a prefix of %s", n.ID, names(got), names(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			o.t.Fatalf("offer on node %d consulted %s, want a prefix of %s", n.ID, names(got), names(want))
+		}
+	}
+	if !placed && len(got) < len(want) && o.ij.rm.free[n.ID] > 0 {
+		o.t.Fatalf("offer on node %d stopped after %s with a slot still free", n.ID, names(got))
+	}
+	return placed
+}
+
+func names(hs []*JobHandle) []string {
+	out := make([]string, len(hs))
+	for i, h := range hs {
+		out[i] = h.Name
+	}
+	return out
+}
+
+// scriptJob is an AM whose every consult is a seeded random action:
+// decline, take the slot, retire a job, or re-offer through RM.Poke (as
+// SkewTune's repartition does) and then maybe take the slot.
+type scriptJob struct {
+	o     *orderCheck
+	rm    *RM
+	rng   *rand.Rand
+	index int // the job's submission index; Submit offers before it returns
+	live  *[]*Container
+}
+
+func (s *scriptJob) OnSlotFree(n *cluster.Node) bool {
+	o := s.o
+	h := o.ij.jobs[s.index]
+	if s.rm.free[n.ID] <= 0 {
+		o.t.Fatalf("%s consulted on node %d with no free slot", h.Name, n.ID)
+	}
+	o.frames[len(o.frames)-1] = append(o.frames[len(o.frames)-1], h)
+	switch r := s.rng.Intn(10); {
+	case r < 5:
+		return false
+	case r < 7:
+		return s.take(n)
+	case r < 8:
+		jobs := o.ij.jobs
+		if h := jobs[s.rng.Intn(len(jobs))]; !h.done {
+			o.ij.Retire(h)
+			o.retired++
+		}
+		return false
+	default:
+		if len(o.frames) < 3 {
+			s.rm.Poke()
+		}
+		if r == 9 && s.rm.free[n.ID] > 0 {
+			o.regrants++
+			return s.take(n)
+		}
+		return false
+	}
+}
+
+// take acquires the node's slot and checks it is credited to this job,
+// which fails if a nested offer left the multiplexer's current job unset.
+func (s *scriptJob) take(n *cluster.Node) bool {
+	c := s.rm.Acquire(n)
+	if owner, h := s.o.ij.owners[c.ID].job, s.o.ij.jobs[s.index]; owner != h {
+		s.o.t.Fatalf("container %d credited to %v, want %s", c.ID, owner, h.Name)
+	}
+	*s.live = append(*s.live, c)
+	return true
+}
+
+// TestInterJobOrderMatchesLegacy drives random submit, grant, release,
+// retire and node-loss sequences — with retires and nested offers inside
+// consults — and checks that every offer consults jobs in exactly the
+// order the original copy-and-stable-sort ranking gives, for every
+// policy.
+func TestInterJobOrderMatchesLegacy(t *testing.T) {
+	policies := map[string]func() Policy{
+		"fifo": func() Policy { return FIFOPolicy{} },
+		"fair": func() Policy { return FairPolicy{} },
+		"capacity": func() Policy {
+			p, err := NewCapacityPolicy([]Queue{
+				{Name: "a", Share: 0.2, MaxShare: 0.4},
+				{Name: "b", Share: 0.3},
+				{Name: "c", Share: 0.5, MaxShare: 0.75},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		},
+	}
+	for name, mk := range policies {
+		t.Run(name, func(t *testing.T) {
+			var total orderCheck
+			for seed := int64(1); seed <= 40; seed++ {
+				o := runOrderScript(t, mk(), seed)
+				total.offers += o.offers
+				total.nested += o.nested
+				total.retired += o.retired
+				total.regrants += o.regrants
+			}
+			if total.nested == 0 || total.retired == 0 || total.regrants == 0 {
+				t.Fatalf("script never exercised nesting (%d), retire in consult (%d) or grant after nesting (%d)",
+					total.nested, total.retired, total.regrants)
+			}
+			t.Logf("%d offers, %d nested", total.offers, total.nested)
+		})
+	}
+}
+
+func runOrderScript(t *testing.T, p Policy, seed int64) *orderCheck {
+	rng := rand.New(rand.NewSource(seed))
+	eng, rm, ij := muxFixture(6, p) // 12 slots
+	o := &orderCheck{t: t, ij: ij}
+	rm.SetScheduler(o)
+	rm.Start()
+	var live []*Container
+	nq := 1
+	if c, ok := p.(*CapacityPolicy); ok {
+		nq = len(c.Queues)
+	}
+	for step := 0; step < 300; step++ {
+		switch r := rng.Intn(10); {
+		case r < 2 && len(ij.jobs) < 12:
+			s := &scriptJob{o: o, rm: rm, rng: rng, index: len(ij.jobs), live: &live}
+			ij.Submit(fmt.Sprintf("j%d", s.index), rng.Intn(nq), s)
+		case r < 5 && len(live) > 0:
+			i := rng.Intn(len(live))
+			c := live[i]
+			live = append(live[:i], live[i+1:]...)
+			if !c.Released() {
+				c.Release()
+			}
+		case r < 6 && len(ij.jobs) > 0:
+			ij.Retire(ij.jobs[rng.Intn(len(ij.jobs))])
+		case r < 7:
+			n := rm.cluster.Node(cluster.NodeID(rng.Intn(rm.cluster.Size())))
+			if n.Down() {
+				n.SetDown(false)
+				rm.NodeRestored(n.ID)
+			} else {
+				n.SetDown(true)
+				rm.NodeLost(n.ID)
+			}
+		case r < 8:
+			rm.Poke()
+		default:
+			eng.RunUntil(eng.Now() + 0.5)
+		}
+	}
+	return o
+}
+
+// TestInterJobOfferAllocs: an offer that every job declines allocates
+// nothing under fair and FIFO, with running counts moving between
+// offers as grants and releases move them.
+func TestInterJobOfferAllocs(t *testing.T) {
+	for _, p := range []Policy{FairPolicy{}, FIFOPolicy{}} {
+		ij, hs := offerFixture(p, 40)
+		node := ij.rm.cluster.Node(0)
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			nudge(hs, i)
+			i++
+			ij.OnSlotFree(node)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per declined offer, want 0", p.Name(), allocs)
+		}
 	}
 }
